@@ -78,6 +78,12 @@ SystemConfig::validate() const
                   repSide, " but the network has ", repVcs);
         }
     }
+    // One 64-bit word holds a core's issuable-warp mask (gpu/sm_core).
+    if (gpu.warpsPerCore < 1 || gpu.warpsPerCore > 64)
+        fatal("gpu.warpsPerCore must be in [1, 64], got ",
+              gpu.warpsPerCore);
+    if (gpu.issueWidth < 1)
+        fatal("gpu.issueWidth must be >= 1, got ", gpu.issueWidth);
     if (gpu.frqEntries < 1)
         fatal("FRQ needs at least one entry");
     if (rp.probeCount < 1)

@@ -1,12 +1,32 @@
 #include "gpu/sm_core.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/invariant.hpp"
 #include "common/log.hpp"
 
 namespace dr
 {
+
+namespace
+{
+
+/**
+ * The low `n` bits of `mask` rotated right by `by` (0 <= by < n <= 64,
+ * no bit of `mask` at or above n): bit k of the result is bit
+ * (by + k) mod n of `mask`, i.e. the warp k slots after warp `by`.
+ */
+std::uint64_t
+rotateWarps(std::uint64_t mask, int by, int n)
+{
+    if (by == 0)
+        return mask;
+    const std::uint64_t all = ~std::uint64_t{0} >> (64 - n);
+    return ((mask >> by) | (mask << (n - by))) & all;
+}
+
+} // namespace
 
 SmCore::SmCore(NodeId nodeId, int coreIdx, const SystemConfig &cfg,
                Interconnect &ic, const AddressMap &map,
@@ -292,38 +312,61 @@ SmCore::issueWarps(Cycle now)
                  "core ", coreIdx_,
                  " FRQ-priority ordering violated: local issue before "
                  "forwarded-request service");
+    // GTO scan (DESIGN.md §9, "SM warp issue"): visit the issuable
+    // warps at offsets 0..n-1 from greedyWarp_. An issue at offset k
+    // re-bases the scan on the issuing warp and it continues at offset
+    // k + 1 from there, so a warp may be visited again across the wrap.
     const int n = static_cast<int>(warps_.size());
+    int base = greedyWarp_;
+    std::uint64_t todo = rotateWarps(issuable_, base, n);
+    bool writesBlocked = false;
     int issued = 0;
-    for (int k = 0; k < n && issued < cfg_.gpu.issueWidth; ++k) {
-        const int w = (greedyWarp_ + k) % n;
-        Warp &warp = warps_[w];
-        if (warp.state == Warp::State::NeedWork ||
-            warp.state == Warp::State::WaitMem) {
-            continue;
+    while (todo != 0) {
+        if (writesBlocked) {
+            // Within this scan outstanding writes only rise and NI space
+            // only falls, and every WriteReq has the same size: each
+            // stalled write before the next other candidate would fail
+            // again and count one stallInject, with no other effect.
+            const std::uint64_t writes =
+                todo & rotateWarps(stalledWrites_, base, n);
+            const std::uint64_t other = todo & ~writes;
+            const std::uint64_t skipped = writes & ((other & -other) - 1);
+            stats_.stallInject += static_cast<std::uint64_t>(
+                std::popcount(skipped));
+            todo &= ~skipped;
+            if (todo == 0)
+                break;
         }
+        const int k = std::countr_zero(todo);
+        todo &= todo - 1;
+        const int w = base + k < n ? base + k : base + k - n;
+        Warp &warp = warps_[w];
         if (warp.readyAt > now)
             continue;
         if (warp.state == Warp::State::Ready && warp.computeLeft > 0) {
             --warp.computeLeft;
             ++stats_.instructions;
-            ++issued;
-            greedyWarp_ = w;  // GTO: stick with the issuing warp
-            continue;
-        }
-        // Memory access due (or a stalled one being retried).
-        if (!warp.hasPending) {
-            warp.pending =
-                kernel_.access(warp.cta, warp.warpInCta, warp.accessIdx);
-            warp.hasPending = true;
-        }
-        if (executeMemAccess(warp, w, now)) {
+        } else {
+            // Memory access due (or a stalled one being retried).
+            if (!warp.hasPending) {
+                warp.pending =
+                    kernel_.access(warp.cta, warp.warpInCta, warp.accessIdx);
+                warp.hasPending = true;
+            }
+            if (!executeMemAccess(warp, w, now)) {
+                setState(warp, Warp::State::Stalled);
+                writesBlocked = writesBlocked || warp.pending.write;
+                continue;
+            }
             ++stats_.instructions;
             ++stats_.memAccesses;
-            ++issued;
-            greedyWarp_ = w;
-        } else {
-            warp.state = Warp::State::Stalled;
         }
+        greedyWarp_ = w;  // GTO: stick with the issuing warp
+        if (++issued >= cfg_.gpu.issueWidth)
+            break;
+        base = w;
+        todo = rotateWarps(issuable_, base, n) &
+               ((~std::uint64_t{0} << k) << 1);
     }
 }
 
@@ -337,7 +380,7 @@ SmCore::advanceWarp(Warp &warp, Cycle now, Cycle extraLatency)
         return;
     }
     warp.computeLeft = kernel_.computePerMem();
-    warp.state = Warp::State::Ready;
+    setState(warp, Warp::State::Ready);
     warp.readyAt = now + extraLatency;
 }
 
@@ -384,7 +427,7 @@ SmCore::executeMemAccess(Warp &warp, int warpId, Cycle now)
             ++stats_.mshrMerges;
             if (localityOracle_)
                 oracleQueries_.push_back(line);
-            warp.state = Warp::State::WaitMem;
+            setState(warp, Warp::State::WaitMem);
             warp.issueCycle = now;
             return true;
         }
@@ -451,7 +494,7 @@ SmCore::startMiss(Warp &warp, int warpId, Addr line, Cycle now)
             ++stats_.probesSent;
         }
         probes_[line] = {count, false, now};
-        warp.state = Warp::State::WaitMem;
+        setState(warp, Warp::State::WaitMem);
         warp.issueCycle = now;
         return true;
     }
@@ -476,7 +519,7 @@ SmCore::startMiss(Warp &warp, int warpId, Addr line, Cycle now)
     ic_.send(req, now);
     ++nextReqId_;
     ++stats_.llcRequests;
-    warp.state = Warp::State::WaitMem;
+    setState(warp, Warp::State::WaitMem);
     warp.issueCycle = now;
     return true;
 }
@@ -515,7 +558,7 @@ void
 SmCore::finishWarp(Warp &warp, Cycle now)
 {
     (void)now;
-    warp.state = Warp::State::NeedWork;
+    setState(warp, Warp::State::NeedWork);
     CtaSlot &slot = ctaSlots_[warp.slot];
     if (--slot.warpsLeft <= 0) {
         ++stats_.ctasCompleted;
@@ -525,6 +568,21 @@ SmCore::finishWarp(Warp &warp, Cycle now)
         // refilled warps only become ready at now + 1 either way.
         pendingCtaRefills_.push_back(warp.slot);
     }
+}
+
+void
+SmCore::setState(Warp &warp, Warp::State state)
+{
+    warp.state = state;
+    const std::uint64_t bit = std::uint64_t{1} << (&warp - warps_.data());
+    if (state == Warp::State::Ready || state == Warp::State::Stalled)
+        issuable_ |= bit;
+    else
+        issuable_ &= ~bit;
+    if (state == Warp::State::Stalled && warp.pending.write)
+        stalledWrites_ |= bit;
+    else
+        stalledWrites_ &= ~bit;
 }
 
 void
@@ -563,18 +621,14 @@ SmCore::nextEventCycle(Cycle now) const
         !probeQueue_.empty() || !outboundReplies_.empty() ||
         !probeFallbacks_.empty() || !pendingCtaRefills_.empty())
         return now + 1;
+    // NeedWork warps wait on a CTA refill and WaitMem warps on a reply
+    // arrival; only the issuable ones have a watermark of their own.
     Cycle next = kNeverCycle;
-    for (const Warp &warp : warps_) {
-        switch (warp.state) {
-          case Warp::State::NeedWork:  // waits on a CTA refill
-          case Warp::State::WaitMem:   // waits on a reply arrival
-            break;
-          case Warp::State::Ready:
-            next = std::min(next, std::max(warp.readyAt, now + 1));
-            break;
-          case Warp::State::Stalled:   // structural retry every cycle
-            return now + 1;
-        }
+    for (std::uint64_t m = issuable_; m != 0; m &= m - 1) {
+        const Warp &warp = warps_[std::countr_zero(m)];
+        if (warp.state == Warp::State::Stalled)
+            return now + 1;  // structural retry every cycle
+        next = std::min(next, std::max(warp.readyAt, now + 1));
     }
     return next;
 }
@@ -596,7 +650,7 @@ SmCore::assignCta(CtaSlot &slot, Cycle now)
     int lane = 0;
     for (const int w : slot.warpIds) {
         Warp &warp = warps_[w];
-        warp.state = Warp::State::Ready;
+        setState(warp, Warp::State::Ready);
         warp.cta = a.cta;
         warp.warpInCta = lane++;
         warp.instance = a.kernelInstance;

@@ -35,7 +35,14 @@
 namespace dr
 {
 
-/** Per-SM statistics. */
+/**
+ * Per-SM statistics. The three stall counters count one per *warp
+ * retry*, not per core-cycle: every Stalled warp the issue scan visits
+ * re-attempts its access and counts again if it fails, and with
+ * issueWidth > 1 one scan can visit a warp more than once (DESIGN.md
+ * §9, "SM warp issue"). That is why gpu.stall_inject can exceed the
+ * number of simulated cycles.
+ */
 struct SmCoreStats
 {
     Counter instructions;   //!< issued instructions (compute + memory)
@@ -66,9 +73,9 @@ struct SmCoreStats
 
     Counter missesWithRemoteCopy;  //!< Fig. 2: miss found in a remote L1
 
-    Counter stallNoMshr;
-    Counter stallInject;
-    Counter stallPort;
+    Counter stallNoMshr;  //!< load retries refused: no MSHR / target slot
+    Counter stallInject;  //!< retries refused by the NI or write bound
+    Counter stallPort;    //!< load retries refused: L1 port busy
     Counter ctasCompleted;
 
     Average loadLatency;  //!< issue to wake (cycles)
@@ -160,7 +167,7 @@ class DR_DOMAIN_OWNED SmCore
         enum class State : std::uint8_t
         {
             NeedWork,  //!< waiting for a CTA
-            Ready,     //!< can issue this cycle
+            Ready,     //!< may issue once readyAt is reached
             WaitMem,   //!< blocked on an outstanding load
             Stalled,   //!< structural stall, retry the memory access
         };
@@ -205,6 +212,8 @@ class DR_DOMAIN_OWNED SmCore
     void wakeTargets(Addr line, Cycle now) DR_ENDPOINT_PHASE;
     void assignCta(CtaSlot &slot, Cycle now) DR_COMMIT_PHASE;
     void finishWarp(Warp &warp, Cycle now) DR_ENDPOINT_PHASE;
+    /** The one place a warp changes state; keeps the masks in step. */
+    void setState(Warp &warp, Warp::State state);
     void advanceWarp(Warp &warp, Cycle now, Cycle extraLatency)
         DR_ENDPOINT_PHASE;
     Message makeRequest(MsgType type, Addr line, Cycle now) const;
@@ -227,6 +236,10 @@ class DR_DOMAIN_OWNED SmCore
     std::vector<CtaSlot> ctaSlots_ DR_DOMAIN_OWNED;
     std::uint32_t coreInstance_ = 0;
     int greedyWarp_ = 0;
+    /** Bit w set iff warps_[w] is Ready or Stalled (may be visited). */
+    std::uint64_t issuable_ DR_DOMAIN_OWNED = 0;
+    /** Bit w set iff warps_[w] is Stalled on a pending write. */
+    std::uint64_t stalledWrites_ DR_DOMAIN_OWNED = 0;
 
     MshrFile mshrs_ DR_DOMAIN_OWNED;
     std::deque<Message> frq_ DR_DOMAIN_OWNED;   //!< Forwarded Request Queue

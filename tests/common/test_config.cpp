@@ -93,6 +93,32 @@ TEST(ConfigDeath, MismatchedLineSizesFail)
     EXPECT_DEATH(cfg.validate(), "line sizes");
 }
 
+TEST(ConfigDeath, WarpsPerCoreOutOfRangeFails)
+{
+    // 0 warps used to divide by zero in the SM constructor; above 64 the
+    // core's one-word issuable-warp mask cannot hold the warp set.
+    SystemConfig cfg = SystemConfig::makePaper();
+    cfg.gpu.warpsPerCore = 0;
+    EXPECT_DEATH(cfg.validate(), "gpu.warpsPerCore");
+    cfg.gpu.warpsPerCore = 65;
+    EXPECT_DEATH(cfg.validate(), "gpu.warpsPerCore");
+    cfg.gpu.warpsPerCore = 1;
+    cfg.validate();
+    cfg.gpu.warpsPerCore = 64;
+    cfg.validate();
+}
+
+TEST(ConfigDeath, IssueWidthBelowOneFails)
+{
+    SystemConfig cfg = SystemConfig::makePaper();
+    cfg.gpu.issueWidth = 0;
+    EXPECT_DEATH(cfg.validate(), "gpu.issueWidth");
+    cfg.gpu.issueWidth = -3;
+    EXPECT_DEATH(cfg.validate(), "gpu.issueWidth");
+    cfg.gpu.issueWidth = 1;
+    cfg.validate();
+}
+
 TEST(Config, VnetPartitionValidates)
 {
     SystemConfig cfg = SystemConfig::makePaper();
